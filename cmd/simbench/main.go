@@ -515,8 +515,9 @@ func sweepPoints(quick bool) int {
 }
 
 // perPoint renormalizes a whole-sweep measurement to per-point figures, the
-// unit the sweep_* entries report so they compare directly against the
-// single-point entries (total_exchange_de evaluates one point per op).
+// unit the sweep_* entries report. A sweep point is one execution, while
+// total_exchange_de runs two per op (warm-up plus timed), so per-execution
+// comparisons halve that entry's ns/op.
 func perPoint(e Entry, points int) Entry {
 	e.NsPerOp /= float64(points)
 	e.AllocsPerOp /= int64(points)
@@ -529,8 +530,8 @@ func perPoint(e Entry, points int) Entry {
 // sched.SweepEvaluator on the heterogeneous Xeon machine. After the first
 // point the evaluator re-prices the message terms of its memoized circulant
 // term tape instead of re-simulating every edge, so the per-point ns/op
-// against total_exchange_de (one independent evaluation per op) is the
-// incremental-reuse speedup the sweep paths ship.
+// against half of total_exchange_de's (two independent executions per op)
+// is the incremental-reuse speedup the sweep paths ship.
 func benchSweepBytesDE(m *cluster.Machine, quick bool) Entry {
 	p := m.Procs()
 	points := sweepPoints(quick)

@@ -263,7 +263,7 @@ func TestCollectivePredictionsTrackSimulation(t *testing.T) {
 	m := xeonMachine(t, p, 0)
 	params := Params{
 		Latency:  m.Profile().LatencyMatrix(m.Placement()),
-		Overhead: overheadWithInvocation(m),
+		Overhead: m.Profile().OverheadMatrix(m.Placement()),
 		Beta:     m.Profile().BetaMatrix(m.Placement()),
 	}
 	pats, err := Collectives(p, 1024)
@@ -288,27 +288,6 @@ func TestCollectivePredictionsTrackSimulation(t *testing.T) {
 				name, meas.MeanWorst, pred.Total, rel)
 		}
 	}
-}
-
-// overheadWithInvocation builds the ground-truth overhead matrix with the
-// invocation overhead on the diagonal, the shape Params expects.
-func overheadWithInvocation(m interface {
-	Procs() int
-	Overhead(i, j int) float64
-	SelfOverhead(i int) float64
-}) *matrix.Dense {
-	p := m.Procs()
-	o := matrix.NewDense(p, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				o.Set(i, i, m.SelfOverhead(i))
-			} else {
-				o.Set(i, j, m.Overhead(i, j))
-			}
-		}
-	}
-	return o
 }
 
 // randomFloodPattern builds a random multi-stage pattern; about half of them

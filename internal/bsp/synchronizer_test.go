@@ -7,7 +7,6 @@ import (
 
 	"hbsp/internal/adapt"
 	"hbsp/internal/barrier"
-	"hbsp/internal/matrix"
 	"hbsp/internal/platform"
 )
 
@@ -15,20 +14,9 @@ import (
 // pairwise matrices (internal/bench runs the benchmark variant; it cannot be
 // imported here because it builds on this package).
 func groundTruthParams(m *platform.Machine) barrier.Params {
-	p := m.Procs()
-	ovh := matrix.NewDense(p, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				ovh.Set(i, i, m.SelfOverhead(i))
-			} else {
-				ovh.Set(i, j, m.Overhead(i, j))
-			}
-		}
-	}
 	return barrier.Params{
 		Latency:  m.Profile().LatencyMatrix(m.Placement()),
-		Overhead: ovh,
+		Overhead: m.Profile().OverheadMatrix(m.Placement()),
 		Beta:     m.Profile().BetaMatrix(m.Placement()),
 	}
 }

@@ -99,7 +99,8 @@ func stragglerBaseline(procs, execs int) (baseline, delta float64, err error) {
 			if st.OutBytes != nil {
 				size = st.OutBytes[0][k]
 			}
-			delta += m.Overhead(0, dst) + m.Latency(0, dst) + float64(size)*m.Beta(0, dst)
+			lat, _, beta, ovh, _ := m.Pair(0, dst)
+			delta += ovh + lat + float64(size)*beta
 		}
 	}
 	return res.MakeSpan, delta, nil

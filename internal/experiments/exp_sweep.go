@@ -103,10 +103,6 @@ func ScaleSweepSeries(prof *platform.Profile, procs, payload int, scales []float
 	if procs < 2 {
 		return nil, fmt.Errorf("experiments: scale sweep needs procs >= 2, got %d", procs)
 	}
-	s, err := barrier.StreamTotalExchange(procs, payload)
-	if err != nil {
-		return nil, err
-	}
 	machines := make([]*platform.Machine, len(scales))
 	for i, f := range scales {
 		m, err := prof.Scaled(f, f, f, f).Machine(procs)
@@ -118,19 +114,33 @@ func ScaleSweepSeries(prof *platform.Profile, procs, payload int, scales []float
 	base := func() (*platform.Machine, error) { return prof.Machine(procs) }
 	return sweepSeries(base, len(scales),
 		func(sw *sched.SweepEvaluator, i int) (SweepSeriesPoint, error) {
-			res, err := sw.Run(context.Background(), machines[i], s, 1)
-			if err != nil {
-				return SweepSeriesPoint{}, err
-			}
-			return SweepSeriesPoint{
-				Procs:    procs,
-				Payload:  payload,
-				Scale:    scales[i],
-				MakeSpan: res.MakeSpan,
-				Messages: res.Messages,
-				Bytes:    res.Bytes,
-			}, nil
+			return scaleSweepPoint(sw, machines[i], payload, scales[i])
 		})
+}
+
+// scaleSweepPoint evaluates one scale-axis point. The schedule is built per
+// point, as on the bytes axis: a streaming schedule reuses its stage storage
+// and must not be shared by concurrent workers, while the evaluator's tape is
+// keyed by the schedule's structure, so a fresh value per point still replays
+// it.
+func scaleSweepPoint(sw *sched.SweepEvaluator, m *platform.Machine, payload int, scale float64) (SweepSeriesPoint, error) {
+	procs := m.Procs()
+	s, err := barrier.StreamTotalExchange(procs, payload)
+	if err != nil {
+		return SweepSeriesPoint{}, err
+	}
+	res, err := sw.Run(context.Background(), m, s, 1)
+	if err != nil {
+		return SweepSeriesPoint{}, err
+	}
+	return SweepSeriesPoint{
+		Procs:    procs,
+		Payload:  payload,
+		Scale:    scale,
+		MakeSpan: res.MakeSpan,
+		Messages: res.Messages,
+		Bytes:    res.Bytes,
+	}, nil
 }
 
 // SweepSeriesTable renders incremental sweep points.

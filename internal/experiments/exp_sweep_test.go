@@ -79,3 +79,33 @@ func TestScaleSweepSeriesMatchesIndependentRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleSweepPointReusesTape pins that building the schedule per point —
+// which keeps parallel workers from sharing a streaming schedule's stage
+// storage — still replays one term tape across the points of a worker.
+func TestScaleSweepPointReusesTape(t *testing.T) {
+	const procs, payload = 32, 64
+	prof := platform.Xeon8x2x4()
+	base, err := prof.Machine(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := sched.NewSweepEvaluator(base, sweepSeriesOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Release()
+	scales := []float64{1, 0.5, 2}
+	for _, f := range scales {
+		m, err := prof.Scaled(f, f, f, f).Machine(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scaleSweepPoint(sw, m, payload, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sw.Stats(); st.TapesBuilt != 1 || st.TapesReused != int64(len(scales)-1) {
+		t.Fatalf("tapes built %d, reused %d; want 1 and %d", st.TapesBuilt, st.TapesReused, len(scales)-1)
+	}
+}

@@ -32,7 +32,8 @@ func TestFatTreeAndDragonflyProfiles(t *testing.T) {
 		}
 		// Cross-group hops are slower than intra-group ones; the pair classes
 		// distinguish them.
-		lIntra, lCross := m.Latency(0, 1), m.Latency(0, 15)
+		lIntra, _, _, _, _ := m.Pair(0, 1)
+		lCross, _, _, _, _ := m.Pair(0, 15)
 		if !(lCross > lIntra) {
 			t.Errorf("%s: cross-group latency %v not above intra-group %v", tc.name, lCross, lIntra)
 		}

@@ -14,30 +14,21 @@ import (
 // interface structurally and is what the virtual-time simulator executes
 // against.
 //
-// Up to denseMatrixLimit ranks the pairwise parameters are materialized as
-// dense P×P matrices; above it the matrices stay nil and the accessors
-// compute the same profile formulas on demand (four P×P float64 matrices at
-// P=1M would be 32 TB). The values are bit-identical either way — the dense
-// path is a cache of the exact same expressions.
+// Nothing P×P is materialized: the link parameters are frozen as one column
+// per distance class at instantiation, and Pair prices a rank pair on demand
+// as column[class]*factor — the exact expressions of the profile formulas,
+// so a Machine costs O(P) memory and O(1) set-up beyond its placement at any
+// rank count.
 type Machine struct {
 	profile   *Profile
 	placement *topology.Placement
 	runSeed   int64
 
-	latency  [][]float64
-	gap      [][]float64
-	beta     [][]float64
-	overhead [][]float64
+	// links holds the profile's link parameters indexed by distance class;
+	// the self column carries the invocation overhead and zero latency, gap
+	// and beta, matching the profile formulas' self cases.
+	links [topology.DistanceGroup + 1]Link
 }
-
-// denseMatrixLimit is the largest rank count whose pairwise parameters are
-// materialized eagerly. Above it the machines the evaluator sweeps (P=4096
-// up to P=1M) would pay hundreds of megabytes and double-digit seconds of
-// matrix fill per instantiation, dwarfing the evaluation itself; the lazy
-// accessors cost ~15 ns per pair instead. A variable, not a constant, so
-// tests can force the lazy path at small P and diff it against the dense
-// one.
-var denseMatrixLimit = 2048
 
 // Machine instantiates the profile for the given number of ranks using the
 // profile's default placement policy.
@@ -51,26 +42,10 @@ func (p *Profile) Machine(ranks int) (*Machine, error) {
 
 // MachineFor instantiates the profile for an explicit placement.
 func (p *Profile) MachineFor(pl *topology.Placement) *Machine {
-	n := pl.Ranks()
 	m := &Machine{profile: p, placement: pl, runSeed: p.Seed}
-	if n > denseMatrixLimit {
-		return m
-	}
-	alloc := func() [][]float64 {
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-		}
-		return rows
-	}
-	m.latency, m.gap, m.beta, m.overhead = alloc(), alloc(), alloc(), alloc()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.latency[i][j] = p.Latency(pl, i, j)
-			m.gap[i][j] = p.Gap(pl, i, j)
-			m.beta[i][j] = p.Beta(pl, i, j)
-			m.overhead[i][j] = p.Overhead(pl, i, j)
-		}
+	m.links[topology.DistanceSelf] = Link{Overhead: p.SelfOverhead}
+	for d := topology.DistanceSocket; d <= topology.DistanceGroup; d++ {
+		m.links[d] = p.Links[d]
 	}
 	return m
 }
@@ -99,36 +74,22 @@ func (m *Machine) Placement() *topology.Placement { return m.placement }
 // Procs returns the number of ranks.
 func (m *Machine) Procs() int { return m.placement.Ranks() }
 
-// Latency returns the ground-truth latency from rank i to rank j.
-func (m *Machine) Latency(i, j int) float64 {
-	if m.latency == nil {
-		return m.profile.Latency(m.placement, i, j)
+// Pair returns the ground-truth parameters of the pair (i, j) — latency,
+// gap, inverse bandwidth, per-request overhead — and the return latency j→i,
+// which equals the latency because distance classes and heterogeneity
+// factors are symmetric. The class and factor are derived once; each
+// parameter is the single multiplication column[class]*factor the profile
+// formulas perform, so the values are bit-identical to Profile.Latency,
+// Gap, Beta and Overhead.
+func (m *Machine) Pair(i, j int) (lat, gap, beta, ovh, ret float64) {
+	d := m.placement.Distance(i, j)
+	l := &m.links[d]
+	if d == topology.DistanceSelf {
+		return 0, 0, 0, l.Overhead, 0
 	}
-	return m.latency[i][j]
-}
-
-// Gap returns the per-message NIC occupancy from rank i to rank j.
-func (m *Machine) Gap(i, j int) float64 {
-	if m.gap == nil {
-		return m.profile.Gap(m.placement, i, j)
-	}
-	return m.gap[i][j]
-}
-
-// Beta returns the inverse bandwidth from rank i to rank j.
-func (m *Machine) Beta(i, j int) float64 {
-	if m.beta == nil {
-		return m.profile.Beta(m.placement, i, j)
-	}
-	return m.beta[i][j]
-}
-
-// Overhead returns the per-request sender CPU overhead from rank i to rank j.
-func (m *Machine) Overhead(i, j int) float64 {
-	if m.overhead == nil {
-		return m.profile.Overhead(m.placement, i, j)
-	}
-	return m.overhead[i][j]
+	f := m.profile.pairFactor(i, j)
+	lat = l.Latency * f
+	return lat, l.Gap * f, l.Beta * f, l.Overhead * f, lat
 }
 
 // SelfOverhead returns the invocation overhead of rank i.
@@ -206,18 +167,15 @@ func (m *Machine) PairTerm(i, j int) (factor float64, class uint8) {
 
 // TermLinks returns the per-distance-class parameter columns of PairTerm's
 // decomposition, indexed by distance class. Multiplying a column entry by a
-// pair's PairTerm factor reproduces the pairwise accessors exactly — the
-// same two operands in the same single multiplication the profile formulas
-// (and the dense matrix fill) perform.
+// pair's PairTerm factor reproduces Pair exactly — the same two operands in
+// the same single multiplication the profile formulas perform.
 func (m *Machine) TermLinks() (lat, gap, beta, ovh []float64) {
-	n := int(topology.DistanceGroup) + 1
+	n := len(m.links)
 	lat = make([]float64, n)
 	gap = make([]float64, n)
 	beta = make([]float64, n)
 	ovh = make([]float64, n)
-	ovh[topology.DistanceSelf] = m.profile.SelfOverhead
-	for d := topology.DistanceSocket; d <= topology.DistanceGroup; d++ {
-		l := m.profile.Links[d]
+	for d, l := range m.links {
 		lat[d], gap[d], beta[d], ovh[d] = l.Latency, l.Gap, l.Beta, l.Overhead
 	}
 	return lat, gap, beta, ovh

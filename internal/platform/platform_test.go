@@ -155,10 +155,10 @@ func TestMachineBasics(t *testing.T) {
 	if m.NIC(0) == m.NIC(1) {
 		t.Fatal("round-robin ranks 0 and 1 should be on different nodes")
 	}
-	if m.Latency(0, 1) <= 0 || m.Overhead(0, 1) <= 0 || m.Gap(0, 1) < 0 {
+	if lat, gap, _, ovh, _ := m.Pair(0, 1); lat <= 0 || ovh <= 0 || gap < 0 {
 		t.Fatal("machine parameters must be positive")
 	}
-	if m.Beta(0, 0) != 0 {
+	if _, _, beta, _, _ := m.Pair(0, 0); beta != 0 {
 		t.Fatal("self beta should be 0")
 	}
 	if m.SelfOverhead(3) != p.SelfOverhead {

@@ -137,10 +137,10 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		}
 	}
 	nc := part.NumClasses()
-	if cap(e.classArr) < nc {
-		e.classArr = make([][]float64, nc)
+	if cap(e.classMsg) < nc {
+		e.classMsg = make([][]inMsg, nc)
 	}
-	classArr := e.classArr[:nc]
+	classMsg := e.classMsg[:nc]
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
@@ -151,7 +151,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		tag := tagBase + sg
 
 		// Phase A over representatives: entry clocks and send injections,
-		// arrivals parked per class by out-edge position.
+		// messages parked per class by out-edge position.
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
@@ -164,7 +164,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 			}
 			e.entry[r] = rs.now
 			if len(outs) > 0 {
-				ca := classArr[c][:0]
+				cm := classMsg[c][:0]
 				sc := e.sendComplete[r][:0]
 				var repBytes int64
 				for k, dst := range outs {
@@ -172,12 +172,12 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 					if st.OutBytes != nil {
 						size = st.OutBytes[r][k]
 					}
-					arrival, completeAt, _, _ := e.send(rs, r, dst, tag, size)
-					ca = append(ca, arrival)
+					msg, completeAt := e.send(rs, r, dst, tag, size)
+					cm = append(cm, msg)
 					sc = append(sc, completeAt)
 					repBytes += int64(size)
 				}
-				classArr[c] = ca
+				classMsg[c] = cm
 				e.sendComplete[r] = sc
 				if extra := part.Size[c] - 1; extra > 0 {
 					e.messages += extra * int64(len(outs))
@@ -188,20 +188,20 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 
 		// Phase B over representatives: waits, receives first then sends, in
 		// edge order. An in-edge from src at out-position k carries the same
-		// arrival src's representative computed at position k (class
-		// equivalence covers pair class, position and size), so the class
-		// queue substitutes for the per-receiver one. Clock advances are
-		// inlined through setNow: lanes are nil under collapse, and the inline
-		// form carries no int32 payload casts (count-exchange payloads exceed
-		// int32 at P=1M); fail-stop crossings still apply — a class whose
-		// members all fail identically collapses like any other.
+		// message — arrival and gap — src's representative computed at
+		// position k (class equivalence covers pair class, position and
+		// size), so the class queue substitutes for the per-receiver one.
+		// Clock advances are inlined through setNow: lanes are nil under
+		// collapse, and the inline form carries no int32 payload casts
+		// (count-exchange payloads exceed int32 at P=1M); fail-stop crossings
+		// still apply — a class whose members all fail identically collapses
+		// like any other.
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
 			for _, src := range st.In[r] {
 				k := outPosition(st.Out[src], r)
-				arrival := classArr[part.ClassOf[src]][k]
-				completeAt, _ := e.recvComplete(rs, r, src, e.entry[r], arrival)
+				completeAt, _ := rs.recvComplete(e.entry[r], &classMsg[part.ClassOf[src]][k])
 				if completeAt > rs.now {
 					rs.setNow(e.ft, r, completeAt)
 				}
@@ -238,13 +238,13 @@ func (e *Evaluator) execCollapsedCirculant(cs CirculantSchedule, tagBase int, co
 			continue
 		}
 		tag := tagBase + sg
-		dst, src := off, p-off
+		dst := off
 		entry := rs.now
-		arrival, sendDone, _, _ := e.send(rs, 0, dst, tag, size)
+		msg, sendDone := e.send(rs, 0, dst, tag, size)
 		e.messages += int64(p - 1)
 		e.bytes += int64(p-1) * int64(size)
-		// By symmetry the arrival from src equals rank 0's own send arrival.
-		recvDone, _ := e.recvComplete(rs, 0, src, entry, arrival)
+		// By symmetry the message from rank P-off equals rank 0's own send.
+		recvDone, _ := rs.recvComplete(entry, &msg)
 		if recvDone > rs.now {
 			rs.setNow(e.ft, 0, recvDone)
 		}

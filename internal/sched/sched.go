@@ -26,7 +26,11 @@
 //
 // The arithmetic in this file mirrors simnet.sendCore, simnet.resolveRecv,
 // simnet.Wait and simnet.Compute operation for operation; change them
-// together (the cross-engine diff tests pin the agreement).
+// together (the cross-engine diff tests pin the agreement). Like sendCore,
+// every edge is priced exactly once — by one Machine.Pair call in send, or
+// from one tape term in the sweep evaluator's execSwept — and the gap the
+// receive completion needs travels with the message through the
+// per-receiver queue.
 package sched
 
 import (
@@ -54,7 +58,9 @@ type Stage struct {
 // Schedule is the stage-graph view the evaluator executes. Implementations
 // may build StageAt's result on the fly and reuse its storage across calls
 // (the evaluator walks stages strictly in order, one at a time), which is
-// what keeps P=4096 sweeps inside memory budgets.
+// what keeps P=4096 sweeps inside memory budgets. Such a schedule value must
+// therefore not be evaluated by two evaluations concurrently: parallel
+// workers each build their own (Circulant is one of them).
 type Schedule interface {
 	// NumProcs returns the number of participating ranks.
 	NumProcs() int
@@ -124,22 +130,19 @@ type Evaluator struct {
 	states []rankState
 
 	// Per-stage scratch, reset between stages: entry clocks (the post time
-	// of a rank's receives), per-receiver arrival/size/send-event queues
-	// (filled in sender order, consumed positionally against Stage.In), and
-	// per-sender send-completion times.
+	// of a rank's receives), per-receiver message queues (filled in sender
+	// order, consumed positionally against Stage.In), and per-sender
+	// send-completion times.
 	entry        []float64
-	inArr        [][]float64
-	inSize       [][]int32
-	inEv         [][]int32
-	inEnd        [][]float64
+	in           [][]inMsg
 	sendComplete [][]float64
 
-	// Collapsed-evaluation scratch: per class, the arrivals of the
+	// Collapsed-evaluation scratch: per class, the messages of the
 	// representative's sends by out-edge position; and the cached
 	// rank-equivalence partitions of schedules evaluated inline (a nil
 	// partition = ineligible, cached with its reason so the refinement never
 	// reruns).
-	classArr  [][]float64
+	classMsg  [][]inMsg
 	partCache map[Schedule]partEntry
 
 	messages int64
@@ -169,10 +172,7 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 	if cap(e.states) < p {
 		e.states = make([]rankState, p)
 		e.entry = make([]float64, p)
-		e.inArr = make([][]float64, p)
-		e.inSize = make([][]int32, p)
-		e.inEv = make([][]int32, p)
-		e.inEnd = make([][]float64, p)
+		e.in = make([][]inMsg, p)
 		e.sendComplete = make([][]float64, p)
 	} else {
 		e.states = e.states[:p]
@@ -180,10 +180,7 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 			e.states[i] = rankState{}
 		}
 		e.entry = e.entry[:p]
-		e.inArr = e.inArr[:p]
-		e.inSize = e.inSize[:p]
-		e.inEv = e.inEv[:p]
-		e.inEnd = e.inEnd[:p]
+		e.in = e.in[:p]
 		e.sendComplete = e.sendComplete[:p]
 	}
 	return e
@@ -327,23 +324,38 @@ func (st *rankState) computeExact(ft *fault.Runtime, rank int, seconds float64) 
 	st.setNow(ft, rank, st.now+seconds)
 }
 
-// send mirrors Proc.sendCore: pay the sender-side costs of one eager send and
-// return the message's arrival time at dst and the virtual time the send
-// request completes. On traced runs it appends the KindSend event and returns
-// its lane index in sendEv (-1 untraced) plus the injection end time sendEnd
-// (the event's T1), which rides with the message to the receiver's wait event
-// exactly as the concurrent engine's message.sendEnd does.
-func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (arrival, completeAt float64, sendEv int32, sendEnd float64) {
+// inMsg is one message on its way to a receiver: what the sender's single
+// pricing of the pair produced that the receive completion and its trace
+// event consume — the arrival, the pair's gap (the receiver's extraction
+// port occupancy) and whether the pair crosses NICs, the payload size and,
+// on traced runs, the sender's event index (-1 untraced) and injection end
+// time, exactly as the concurrent engine's message carries them.
+type inMsg struct {
+	arrival  float64
+	gap      float64
+	sendEnd  float64
+	size     int32
+	sendEv   int32
+	crossNIC bool
+}
+
+// send mirrors Proc.sendCore: price the pair once and pay the sender-side
+// costs of one eager send, returning the message bound for dst and the
+// virtual time the send request completes. On traced runs it appends the
+// KindSend event; its lane index and the injection end time (the event's
+// T1) ride with the message to the receiver's wait event.
+func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (msg inMsg, completeAt float64) {
 	m := e.m
+	lat, gap, beta, ovh, ret := m.Pair(rank, dst)
 	t0 := st.now
 	latMul, betaMul := 1.0, 1.0
 	if e.ft != nil && e.ft.HasLinks() {
 		latMul, betaMul = e.ft.Link(rank, dst, t0)
 	}
-	st.setNow(e.ft, rank, st.now+m.Overhead(rank, dst)*st.noise(m, e.ft, rank))
+	st.setNow(e.ft, rank, st.now+ovh*st.noise(m, e.ft, rank))
 
 	sameNIC := m.NIC(rank) == m.NIC(dst)
-	transfer := float64(size) * m.Beta(rank, dst) * betaMul
+	transfer := float64(size) * beta * betaMul
 	var txStart float64
 	if sameNIC && rank != dst {
 		txStart = st.now
@@ -352,14 +364,14 @@ func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (arrival, comp
 		if st.txFree > txStart {
 			txStart = st.txFree
 		}
-		st.txFree = txStart + m.Gap(rank, dst) + transfer
+		st.txFree = txStart + gap + transfer
 	}
-	arrival = txStart + (m.Latency(rank, dst)*latMul+transfer)*st.noise(m, e.ft, rank)
+	arrival := txStart + (lat*latMul+transfer)*st.noise(m, e.ft, rank)
 
-	sendEv = -1
+	msg = inMsg{arrival: arrival, gap: gap, size: int32(size), sendEv: -1, crossNIC: !sameNIC}
 	if st.lane != nil {
-		sendEv = int32(st.lane.Len())
-		sendEnd = st.now
+		msg.sendEv = int32(st.lane.Len())
+		msg.sendEnd = st.now
 		st.lane.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
 			Size: int32(size), SendSeq: -1, Step: st.step, Stage: st.stage,
 			T0: t0, T1: st.now, Arrival: arrival})
@@ -372,40 +384,39 @@ func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (arrival, comp
 		completeAt = arrival
 	}
 	if e.ack && rank != dst {
-		completeAt = arrival + m.Latency(dst, rank)*latMul
+		completeAt = arrival + ret*latMul
 	}
-	return arrival, completeAt, sendEv, sendEnd
+	return msg, completeAt
 }
 
 // recvComplete mirrors Request.resolveRecv: given the receive's post time and
-// the matched message's arrival, compute the completion time, serializing the
-// extraction port.
-func (e *Evaluator) recvComplete(st *rankState, rank, src int, postTime, arrival float64) (completeAt float64, gated bool) {
-	m := e.m
+// the matched message, compute the completion time, serializing the
+// extraction port by the gap the sender priced.
+func (st *rankState) recvComplete(postTime float64, msg *inMsg) (completeAt float64, gated bool) {
 	start := postTime
-	if arrival > start {
-		start = arrival
+	if msg.arrival > start {
+		start = msg.arrival
 		gated = true
 	}
-	if m.NIC(rank) != m.NIC(src) {
+	if msg.crossNIC {
 		if st.rxFree > start {
 			start = st.rxFree
 			gated = false
 		}
-		st.rxFree = start + m.Gap(src, rank)
+		st.rxFree = start + msg.gap
 	}
 	return start, gated
 }
 
 // waitRecvAdvance mirrors Proc.Wait for a resolved receive: advance the clock
 // to the completion time, recording the wait interval on traced runs.
-func (st *rankState) waitRecvAdvance(ft *fault.Runtime, rank int, completeAt float64, src, tag int, size, sendEv int32, gated bool, arrival, sendEnd float64) {
+func (st *rankState) waitRecvAdvance(ft *fault.Runtime, rank int, completeAt float64, src, tag int, msg *inMsg, gated bool) {
 	if completeAt > st.now {
 		if st.lane != nil {
 			st.lane.Append(trace.Event{Kind: trace.KindRecvWait, Gated: gated,
-				Peer: int32(src), Tag: int32(tag), Size: size, SendSeq: sendEv,
+				Peer: int32(src), Tag: int32(tag), Size: msg.size, SendSeq: msg.sendEv,
 				Step: st.step, Stage: st.stage, T0: st.now, T1: completeAt,
-				Arrival: arrival, SendEnd: sendEnd})
+				Arrival: msg.arrival, SendEnd: msg.sendEnd})
 		}
 		st.setNow(ft, rank, completeAt)
 	}
@@ -487,12 +498,9 @@ func (e *Evaluator) execSchedule(s Schedule, tagBase int, computeEmpty bool, chk
 					if st.OutBytes != nil {
 						size = st.OutBytes[r][k]
 					}
-					arrival, completeAt, sendEv, sendEnd := e.send(rs, r, dst, tag, size)
+					msg, completeAt := e.send(rs, r, dst, tag, size)
 					sc = append(sc, completeAt)
-					e.inArr[dst] = append(e.inArr[dst], arrival)
-					e.inSize[dst] = append(e.inSize[dst], int32(size))
-					e.inEv[dst] = append(e.inEv[dst], sendEv)
-					e.inEnd[dst] = append(e.inEnd[dst], sendEnd)
+					e.in[dst] = append(e.in[dst], msg)
 				}
 				e.sendComplete[r] = sc
 			}
@@ -503,9 +511,9 @@ func (e *Evaluator) execSchedule(s Schedule, tagBase int, computeEmpty bool, chk
 			rs := &e.states[r]
 			ins, outs := st.In[r], st.Out[r]
 			for q, src := range ins {
-				arrival := e.inArr[r][q]
-				completeAt, gated := e.recvComplete(rs, r, src, e.entry[r], arrival)
-				rs.waitRecvAdvance(e.ft, r, completeAt, src, tag, e.inSize[r][q], e.inEv[r][q], gated, arrival, e.inEnd[r][q])
+				msg := &e.in[r][q]
+				completeAt, gated := rs.recvComplete(e.entry[r], msg)
+				rs.waitRecvAdvance(e.ft, r, completeAt, src, tag, msg, gated)
 			}
 			for k, dst := range outs {
 				size := 0
@@ -514,10 +522,7 @@ func (e *Evaluator) execSchedule(s Schedule, tagBase int, computeEmpty bool, chk
 				}
 				rs.waitSendAdvance(e.ft, r, e.sendComplete[r][k], dst, tag, size)
 			}
-			e.inArr[r] = e.inArr[r][:0]
-			e.inSize[r] = e.inSize[r][:0]
-			e.inEv[r] = e.inEv[r][:0]
-			e.inEnd[r] = e.inEnd[r][:0]
+			e.in[r] = e.in[r][:0]
 		}
 	}
 	return nil

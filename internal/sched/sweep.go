@@ -25,10 +25,10 @@ import (
 // SweepEvaluator records the (factor, class) term of every edge of one
 // execution into a tape on first evaluation and replays it for the remaining
 // points: replay re-prices each edge with four multiplications against the
-// point's columns instead of re-deriving placement distances, per-pair
-// hashes and link-table lookups, which is where a per-rank P=4096 evaluation
-// spends most of its time. Payload sizes and noise draws are read live from
-// the point's schedule and machine, so a bytes-axis point re-prices message
+// point's columns instead of re-deriving placement distances and per-pair
+// hashes, which is where a live per-rank evaluation spends its pricing
+// time. Payload sizes and noise draws are read live from the point's
+// schedule and machine, so a bytes-axis point re-prices message
 // terms over the cached structure and the results stay bit-identical to an
 // independent RunSchedule call — the same grouping of the same float64
 // operands in the same order.
@@ -47,8 +47,9 @@ import (
 // tape requires: a multiplicative (factor, class) decomposition of the
 // pairwise parameters (platform.Machine implements it from its profile and
 // placement). The contract is exact: for every pair, column[class]*factor
-// must reproduce the pairwise accessors bit for bit, and both factor and
-// class must be invariants of every machine TermCompatible accepts.
+// must reproduce Machine.Pair bit for bit (its return latency included, so
+// pairs are symmetric), and both factor and class must be invariants of
+// every machine TermCompatible accepts.
 type TermMachine interface {
 	simnet.Machine
 	// PairTerm returns the pair's heterogeneity factor and distance class.
@@ -169,12 +170,12 @@ type sweepTape struct {
 	lastValid  bool
 	lastSizes  []int32 // circulant: per-stage payload size
 	lastESizes []int32 // generic: per-edge payload size, tape order
-	lastCols  [4][]float64
-	lastSeed  int64
-	lastFree  bool
-	lastExecs int
-	lastRes   *simnet.Result
-	ckpts     []sweepCkpt
+	lastCols   [4][]float64
+	lastSeed   int64
+	lastFree   bool
+	lastExecs  int
+	lastRes    *simnet.Result
+	ckpts      []sweepCkpt
 
 	bytes   int64
 	lastUse int64
@@ -199,11 +200,6 @@ type SweepEvaluator struct {
 	curSeed             int64
 	curFree             bool
 	noiseKnown          bool
-
-	// Per-receiver gap-term queues, parallel to Evaluator.inArr: the swept
-	// executor pushes the sender-computed gap term so the receive completion
-	// never re-derives the pair.
-	inGap [][]float64
 
 	budget  int64
 	useTick int64
@@ -270,7 +266,6 @@ func (sw *SweepEvaluator) adopt(m simnet.Machine) {
 	sw.e.collapseOff = sw.opt.SymmetryCollapse == simnet.CollapseOff
 	sw.e.ft = sw.ft
 	p := m.Procs()
-	sw.inGap = make([][]float64, p)
 	sw.tm = nil
 	sw.nic = nil
 	if tm, ok := m.(TermMachine); ok {
@@ -1029,14 +1024,14 @@ const (
 )
 
 // execSwept evaluates stages [startStage, NumStages) of one execution on the
-// term path. It mirrors execSchedule/send/recvComplete operation for
-// operation — change them together (the sweep golden tests pin the
-// agreement) — with the pair parameters priced as column[class]*factor:
-// build mode derives each edge's term through PairTerm and records it,
-// replay mode reads the tape at cur, live mode derives without recording.
-// The receiver-side gap term rides the per-receiver queues (inGap), so the
-// receive completion never re-derives the pair — it is the same ordered pair
-// as the send, hence the same term.
+// term path. It mirrors execSchedule/send operation for operation — change
+// them together (the sweep golden tests pin the agreement) — with the pair
+// parameters priced as column[class]*factor: build mode derives each edge's
+// term through PairTerm and records it, replay mode reads the tape at cur,
+// live mode derives without recording. The send is inlined: a call per edge
+// measurably slows this loop, as every live register spills around it. The
+// term machine's pairs are symmetric, so the ack's return latency is the
+// edge's own latency term.
 func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecker, t *sweepTape, mode int, cur int64, ck *ckptTaker) (int64, error) {
 	e := sw.e
 	m := e.m
@@ -1128,11 +1123,10 @@ func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecke
 						rs.txFree = txStart + gapV + transfer
 					}
 					arrival := txStart + (latV*latMul+transfer)*rs.noise(m, ft, r)
-					sendEv := int32(-1)
-					var sendEnd float64
+					msg := inMsg{arrival: arrival, gap: gapV, size: int32(size), sendEv: -1, crossNIC: !sameNIC}
 					if rs.lane != nil {
-						sendEv = int32(rs.lane.Len())
-						sendEnd = rs.now
+						msg.sendEv = int32(rs.lane.Len())
+						msg.sendEnd = rs.now
 						rs.lane.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
 							Size: int32(size), SendSeq: -1, Step: rs.step, Stage: rs.stage,
 							T0: t0, T1: rs.now, Arrival: arrival})
@@ -1148,11 +1142,7 @@ func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecke
 					}
 
 					sc = append(sc, completeAt)
-					e.inArr[dst] = append(e.inArr[dst], arrival)
-					e.inSize[dst] = append(e.inSize[dst], int32(size))
-					e.inEv[dst] = append(e.inEv[dst], sendEv)
-					e.inEnd[dst] = append(e.inEnd[dst], sendEnd)
-					sw.inGap[dst] = append(sw.inGap[dst], gapV)
+					e.in[dst] = append(e.in[dst], msg)
 				}
 				e.sendComplete[r] = sc
 			}
@@ -1166,23 +1156,9 @@ func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecke
 			rs := &e.states[r]
 			ins, outs := st.In[r], st.Out[r]
 			for q, src := range ins {
-				arrival := e.inArr[r][q]
-				// Inlined recvComplete: the gap term was pushed by the
-				// sender's scan of the same ordered pair.
-				start := e.entry[r]
-				gated := false
-				if arrival > start {
-					start = arrival
-					gated = true
-				}
-				if nic[r] != nic[src] {
-					if rs.rxFree > start {
-						start = rs.rxFree
-						gated = false
-					}
-					rs.rxFree = start + sw.inGap[r][q]
-				}
-				rs.waitRecvAdvance(ft, r, start, src, tag, e.inSize[r][q], e.inEv[r][q], gated, arrival, e.inEnd[r][q])
+				msg := &e.in[r][q]
+				completeAt, gated := rs.recvComplete(e.entry[r], msg)
+				rs.waitRecvAdvance(ft, r, completeAt, src, tag, msg, gated)
 			}
 			for k, dst := range outs {
 				size := 0
@@ -1191,11 +1167,7 @@ func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecke
 				}
 				rs.waitSendAdvance(ft, r, e.sendComplete[r][k], dst, tag, size)
 			}
-			e.inArr[r] = e.inArr[r][:0]
-			e.inSize[r] = e.inSize[r][:0]
-			e.inEv[r] = e.inEv[r][:0]
-			e.inEnd[r] = e.inEnd[r][:0]
-			sw.inGap[r] = sw.inGap[r][:0]
+			e.in[r] = e.in[r][:0]
 		}
 	}
 	if ck != nil {

@@ -57,7 +57,7 @@ type SymmetricMachine interface {
 	HomogeneousClasses() bool
 	// PairClass returns the distance class of the pair (i, j); on a machine
 	// with HomogeneousClasses, pairs of equal class have bit-identical
-	// parameters in both directions.
+	// parameters in both directions and either all cross NICs or none do.
 	PairClass(i, j int) uint8
 	// UniformPairs reports whether additionally every off-diagonal pair has
 	// the same class and crosses NICs (one rank per node): all ranks are

@@ -243,11 +243,13 @@ type matrixMachine struct {
 	nic                 []int
 }
 
-func (m *matrixMachine) Procs() int                 { return len(m.lat) }
-func (m *matrixMachine) Latency(i, j int) float64   { return m.lat[i][j] }
-func (m *matrixMachine) Gap(i, j int) float64       { return m.gap[i][j] }
-func (m *matrixMachine) Beta(i, j int) float64      { return m.beta[i][j] }
-func (m *matrixMachine) Overhead(i, j int) float64  { return m.ovh[i][j] }
+func (m *matrixMachine) Procs() int { return len(m.lat) }
+
+// Pair reads the pair's entries; uploaded matrices may be asymmetric, so the
+// ack's return latency is the reverse entry lat[j][i].
+func (m *matrixMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64) {
+	return m.lat[i][j], m.gap[i][j], m.beta[i][j], m.ovh[i][j], m.lat[j][i]
+}
 func (m *matrixMachine) SelfOverhead(i int) float64 { return m.selfOverhead }
 func (m *matrixMachine) NIC(i int) int              { return m.nic[i] }
 func (m *matrixMachine) Noise(int, uint64) float64  { return 1 }

@@ -15,8 +15,11 @@
 //   - the destination's extraction port serializes incoming messages by
 //     gap(i,j) as they are matched;
 //   - optionally (the default), a send request only completes once a
-//     zero-size acknowledgement has travelled back, which is the behaviour
-//     the thesis' factor-2 stage cost approximates.
+//     zero-size acknowledgement has travelled back over L(j,i), which is the
+//     behaviour the thesis' factor-2 stage cost approximates.
+//
+// The sender prices the pair once per message (Machine.Pair); the gap the
+// receiver's extraction port needs travels with the message.
 //
 // Because every delay is derived from per-rank counters and per-rank state,
 // simulations are deterministic regardless of goroutine scheduling, provided
@@ -41,14 +44,13 @@ import (
 type Machine interface {
 	// Procs returns the number of ranks.
 	Procs() int
-	// Latency returns the end-to-end latency of a minimal message from i to j.
-	Latency(i, j int) float64
-	// Gap returns the per-message port occupancy between i and j.
-	Gap(i, j int) float64
-	// Beta returns the inverse bandwidth between i and j in seconds per byte.
-	Beta(i, j int) float64
-	// Overhead returns the per-request sender CPU overhead from i to j.
-	Overhead(i, j int) float64
+	// Pair returns everything one message from rank i to rank j costs, in a
+	// single call: the end-to-end latency of a minimal message, the
+	// per-message port occupancy, the inverse bandwidth in seconds per byte,
+	// the per-request sender CPU overhead, and the return latency j→i an
+	// acknowledgement pays (equal to lat on symmetric machines). Both
+	// engines price each edge with exactly one call.
+	Pair(i, j int) (lat, gap, beta, ovh, ret float64)
 	// SelfOverhead returns the invocation overhead of rank i.
 	SelfOverhead(i int) float64
 	// NIC returns the network interface index of rank i (ranks sharing a
@@ -195,6 +197,9 @@ type message struct {
 	size          int
 	payload       any
 	arrival       float64
+	// gap is the pair's port occupancy, priced by the sender: the receiver
+	// serializes its extraction port by it without re-pricing the pair.
+	gap float64
 	// sendEv is, under tracing, the index of the sender's KindSend event in
 	// its lane, so the receiver can link its wait to the gating send;
 	// sendEnd is that event's injection end time (T1), carried on the
@@ -761,11 +766,12 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 	if p.ft != nil && p.ft.HasLinks() {
 		latMul, betaMul = p.ft.Link(p.rank, dst, t0)
 	}
-	p.setNow(p.now + m.Overhead(p.rank, dst)*p.noise())
+	lat, gap, beta, ovh, ret := m.Pair(p.rank, dst)
+	p.setNow(p.now + ovh*p.noise())
 
 	var txStart, transfer float64
 	sameNIC := m.NIC(p.rank) == m.NIC(dst)
-	transfer = float64(size) * m.Beta(p.rank, dst) * betaMul
+	transfer = float64(size) * beta * betaMul
 	if sameNIC && p.rank != dst {
 		// Intra-node transfers bypass the injection port.
 		txStart = p.now
@@ -774,12 +780,12 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 		if p.txFree > txStart {
 			txStart = p.txFree
 		}
-		p.txFree = txStart + m.Gap(p.rank, dst) + transfer
+		p.txFree = txStart + gap + transfer
 	}
-	arrival := txStart + (m.Latency(p.rank, dst)*latMul+transfer)*p.noise()
+	arrival := txStart + (lat*latMul+transfer)*p.noise()
 
 	msg := msgPool.Get().(*message)
-	*msg = message{src: p.rank, dst: dst, tag: tag, size: size, payload: payload, arrival: arrival}
+	*msg = message{src: p.rank, dst: dst, tag: tag, size: size, payload: payload, arrival: arrival, gap: gap}
 	if p.tr != nil {
 		msg.sendEv = int32(p.tr.Len())
 		msg.sendEnd = p.now
@@ -796,7 +802,7 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 		completeAt = arrival
 	}
 	if p.w.opts.AckSends && p.rank != dst {
-		completeAt = arrival + m.Latency(dst, p.rank)*latMul
+		completeAt = arrival + ret*latMul
 	}
 	return completeAt
 }
@@ -858,7 +864,7 @@ func (r *Request) resolveRecv() {
 			start = p.rxFree
 			gated = false
 		}
-		p.rxFree = start + m.Gap(r.peer, p.rank)
+		p.rxFree = start + msg.gap
 	}
 	r.completeAt = start
 	r.payload = msg.payload

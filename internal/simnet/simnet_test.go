@@ -19,11 +19,10 @@ type fakeMachine struct {
 	sharedNIC bool
 }
 
-func (f *fakeMachine) Procs() int                 { return f.procs }
-func (f *fakeMachine) Latency(i, j int) float64   { return f.latency }
-func (f *fakeMachine) Gap(i, j int) float64       { return f.gap }
-func (f *fakeMachine) Beta(i, j int) float64      { return f.beta }
-func (f *fakeMachine) Overhead(i, j int) float64  { return f.overhead }
+func (f *fakeMachine) Procs() int { return f.procs }
+func (f *fakeMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64) {
+	return f.latency, f.gap, f.beta, f.overhead, f.latency
+}
 func (f *fakeMachine) SelfOverhead(i int) float64 { return f.self }
 func (f *fakeMachine) NIC(i int) int {
 	if f.sharedNIC {

@@ -92,11 +92,10 @@ func TestNewOptionMatrix(t *testing.T) {
 // fakeMachine satisfies sim.Machine but has no profile and no reseeding.
 type fakeMachine struct{ procs int }
 
-func (f fakeMachine) Procs() int                      { return f.procs }
-func (f fakeMachine) Latency(i, j int) float64        { return 1e-6 }
-func (f fakeMachine) Gap(i, j int) float64            { return 1e-7 }
-func (f fakeMachine) Beta(i, j int) float64           { return 1e-9 }
-func (f fakeMachine) Overhead(i, j int) float64       { return 1e-7 }
+func (f fakeMachine) Procs() int { return f.procs }
+func (f fakeMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64) {
+	return 1e-6, 1e-7, 1e-9, 1e-7, 1e-6
+}
 func (f fakeMachine) SelfOverhead(i int) float64      { return 1e-7 }
 func (f fakeMachine) NIC(i int) int                   { return i }
 func (f fakeMachine) Noise(r int, seq uint64) float64 { return 1 }
