@@ -124,6 +124,15 @@ func StreamReduce(p, root, msgBytes int) (sched.Schedule, error) {
 	return barrier.StreamReduce(p, root, msgBytes)
 }
 
+// VerifySchedule checks a streamed schedule against the collective
+// semantics (root applies to broadcast and reduce) with the verdict and
+// error text of Pattern.Verify, without a P×P reach matrix for circulant and
+// rooted schedules. It calls StageAt, so it must not run concurrently with
+// an evaluation of the same stream.
+func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
+	return barrier.VerifySchedule(s, sem, root)
+}
+
 // Collectives returns one verified schedule per collective at the given
 // process count and block size, keyed by name.
 func Collectives(p, blockBytes int) (map[string]*Pattern, error) {

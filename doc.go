@@ -170,8 +170,14 @@
 // sweep evaluators keyed by the profile's base fingerprint, so the points
 // of one sweep — and distinct single-point misses against the same profile
 // — share compiled schedules and memoized term tapes (reuse shows up as
-// the sweepPointsReused and partitionsReused counters of /metrics). See
-// the server package documentation for the wire format.
+// the sweepPointsReused and partitionsReused counters of /metrics). Those
+// swept collectives run streamed schedules (collective.Stream*, O(stages)
+// state), each verified once per (semantics, P, root) by
+// collective.VerifySchedule without a P×P reach matrix; dense P×P
+// patterns remain only on the session path (traced requests, the
+// concurrent engine, uploaded matrices) and in the signal-only tree and
+// linear barriers. See the server package documentation for the wire
+// format.
 //
 // The public packages layer as follows: cluster (platform profiles,
 // topologies, machines) feeds sim (the virtual-time simulator), on which bsp

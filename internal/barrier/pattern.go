@@ -153,13 +153,13 @@ func (pat *Pattern) PayloadAt(s, i, j int) float64 {
 // flooding semantics) the final K must contain no zero element; a broadcast
 // only requires the root's row to be full, a reduction only the root's
 // column. This is the thesis' debug aid for automatically generated patterns,
-// evaluated on the sparse stage adjacency in O(signals·P/64) per stage.
+// evaluated on the sparse stage adjacency in O(signals·P/64) per stage (the
+// rooted semantics propagate one flag per rank instead; see VerifySchedule).
 func (pat *Pattern) Verify() error {
 	if err := pat.Validate(); err != nil {
 		return err
 	}
-	r := pat.reach()
-	return pat.checkReach(r.has)
+	return verifyReach(pat.ScheduleView(), pat.Semantics, pat.Root)
 }
 
 // VerifyDense is Verify evaluated with the literal dense matrix products of
@@ -184,7 +184,7 @@ func (pat *Pattern) VerifyDense() error {
 			return err
 		}
 	}
-	return pat.checkReach(func(j, i int) bool { return k.At(i, j) != 0 })
+	return checkReach(pat.Semantics, p, pat.Root, func(j, i int) bool { return k.At(i, j) != 0 })
 }
 
 // Linear returns the 2-stage linear (central counter) barrier: every process

@@ -1,7 +1,6 @@
 package barrier
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hbsp/internal/sched"
@@ -102,17 +101,6 @@ func (r *reachSets) step(st StageAdj, prev []uint64) {
 	}
 }
 
-// reach runs the knowledge recursion over all stages and returns the final
-// reachability sets.
-func (pat *Pattern) reach() *reachSets {
-	r := newReachSets(pat.Procs)
-	prev := make([]uint64, len(r.bits))
-	for _, st := range pat.Adjacency() {
-		r.step(st, prev)
-	}
-	return r
-}
-
 // KnownBeforeStage returns, per stage and per process, the number of
 // distinct contributions the process holds when the stage begins (its own
 // plus everything absorbed in earlier stages): KnownBeforeStage()[s][j] is
@@ -160,33 +148,4 @@ func (pat *Pattern) FloodReach() *sched.ReachSet {
 		pat.reachSet = sched.ReachOf(pat.ScheduleView())
 	})
 	return pat.reachSet
-}
-
-// checkReach verifies the semantics' postcondition against final reach sets:
-// every pair must be covered for the barrier-like collectives, only the
-// root's row for a broadcast, only the root's column for a reduction. Rooted
-// semantics restrict the scan accordingly, so the check never dominates the
-// O(signals) reach recursion at large P.
-func (pat *Pattern) checkReach(knows func(j, i int) bool) error {
-	p := pat.Procs
-	iLo, iHi, jLo, jHi := 0, p, 0, p
-	switch pat.Semantics {
-	case SemBroadcast:
-		iLo, iHi = pat.Root, pat.Root+1
-	case SemReduce:
-		jLo, jHi = pat.Root, pat.Root+1
-	}
-	for i := iLo; i < iHi; i++ {
-		for j := jLo; j < jHi; j++ {
-			if knows(j, i) {
-				continue
-			}
-			if pat.Semantics == SemBarrier {
-				return fmt.Errorf("%w: process %d cannot prove the arrival of process %d", ErrInvalidPattern, j, i)
-			}
-			return fmt.Errorf("%w: %s schedule never delivers the contribution of process %d to process %d",
-				ErrInvalidPattern, pat.Semantics, i, j)
-		}
-	}
-	return nil
 }

@@ -105,8 +105,14 @@ type Ctx struct {
 	currentStep int
 
 	// Outgoing one-sided message counts per destination for the current
-	// superstep.
-	outCounts []int
+	// superstep, and the row of the superstep before it. The direct count
+	// exchange hands every rank the live rows of all ranks, so a rank that
+	// has finished Sync must not write the row it just published while
+	// slower ranks still drain against it: Sync swaps the two, and the row
+	// it clears dates from two supersteps back, which every rank finished
+	// reading before it arrived at the last gate.
+	outCounts   []int
+	spareCounts []int
 	// Get requests issued this superstep, in issue order; replies from a
 	// given source arrive in the same order the requests were sent.
 	pendingGets []pendingGet
@@ -129,13 +135,16 @@ type regOp struct {
 }
 
 func newCtx(p *simnet.Proc, m Machine) *Ctx {
+	n := p.Size()
+	counts := make([]int, 2*n)
 	return &Ctx{
-		proc:      p,
-		machine:   m,
-		sync:      DefaultSynchronizer(),
-		schedules: defaultSchedules,
-		regs:      map[string][]float64{},
-		outCounts: make([]int, p.Size()),
+		proc:        p,
+		machine:     m,
+		sync:        DefaultSynchronizer(),
+		schedules:   defaultSchedules,
+		regs:        map[string][]float64{},
+		outCounts:   counts[:n:n],
+		spareCounts: counts[n:],
 	}
 }
 

@@ -78,3 +78,67 @@ func TestSyncGateSingleRank(t *testing.T) {
 		t.Fatalf("bad result: %+v", res)
 	}
 }
+
+// TestSyncCountRowsSurviveEarlyFinishers pins the double-buffered count rows
+// of the direct exchange, which hands every rank the live rows of all ranks.
+// Rank 0 receives a flood of messages every superstep, so its drain runs long
+// after the other ranks have left Sync and started counting the next
+// superstep's messages. Every rank must still drain exactly the messages
+// addressed to it, and the virtual times must equal the concurrent engine's,
+// which copies the rows (run under -race to catch a shared row).
+func TestSyncCountRowsSurviveEarlyFinishers(t *testing.T) {
+	const (
+		procs = 8
+		steps = 12
+		flood = 300 // extra messages per rank to rank 0, per superstep
+	)
+	sends := func(src, dst, step int) int {
+		n := (src*7 + dst*3 + step) % 5
+		if dst == 0 {
+			n += flood
+		}
+		return n
+	}
+	program := func(c *Ctx) error {
+		for step := 0; step < steps; step++ {
+			for dst := 0; dst < procs; dst++ {
+				for k := 0; k < sends(c.Pid(), dst, step); k++ {
+					if err := c.Send(dst, step, []float64{float64(k)}); err != nil {
+						return err
+					}
+				}
+			}
+			if err := c.Sync(); err != nil {
+				return err
+			}
+			want := 0
+			for src := 0; src < procs; src++ {
+				want += sends(src, c.Pid(), step)
+			}
+			if got := c.QueueLen(); got != want {
+				return fmt.Errorf("rank %d step %d: drained %d messages, want %d", c.Pid(), step, got, want)
+			}
+		}
+		return nil
+	}
+	m := gateMachine(t, procs)
+	run := func(engine simnet.Engine) *simnet.Result {
+		o := simnet.DefaultOptions()
+		o.Engine = engine
+		o.Deadline = 30 * time.Second // a shared row deadlocks the drain
+		res, err := RunContext(context.Background(), m, RunConfig{Options: &o}, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	direct, concurrent := run(simnet.EngineAuto), run(simnet.EngineConcurrent)
+	for r := range direct.Times {
+		if direct.Times[r] != concurrent.Times[r] {
+			t.Errorf("rank %d: direct %v, concurrent %v", r, direct.Times[r], concurrent.Times[r])
+		}
+	}
+	if direct.Messages != concurrent.Messages || direct.Bytes != concurrent.Bytes {
+		t.Errorf("traffic: direct %d/%d, concurrent %d/%d", direct.Messages, direct.Bytes, concurrent.Messages, concurrent.Bytes)
+	}
+}

@@ -85,10 +85,10 @@ func (c *Ctx) Sync() error {
 	c.queue = c.nextQueue
 	c.nextQueue = nil
 
-	// Reset per-superstep state.
-	for i := range c.outCounts {
-		c.outCounts[i] = 0
-	}
+	// Reset per-superstep state; the published count row stays untouched
+	// until the next Sync has passed its gate (see Ctx.spareCounts).
+	c.outCounts, c.spareCounts = c.spareCounts, c.outCounts
+	clear(c.outCounts)
 	c.pendingGets = c.pendingGets[:0]
 	c.currentStep++
 	c.proc.TraceSuperstep(c.currentStep - 1)
@@ -122,10 +122,11 @@ type syncTicket struct {
 }
 
 // directExchange evaluates the count exchange at the run's gate. The leader
-// snapshots every rank's count row — the same copy the concurrent exchange
-// makes before its first stage — evaluates the exchange's op-stream against
-// the live per-rank clocks, and hands the complete P×P matrix to every rank;
-// no count row ever travels through a mailbox.
+// collects every rank's count row — by reference: Sync double-buffers the
+// rows, so none is written again before every rank has drained against it —
+// evaluates the exchange's op-stream against the live per-rank clocks, and
+// hands the complete P×P matrix to every rank; no count row ever travels
+// through a mailbox or is copied.
 func (c *Ctx) directExchange(g *simnet.Gate, dx directExchanger) ([][]int, error) {
 	var counts [][]int
 	t := &syncTicket{sync: c.sync, row: c.outCounts, out: &counts}
@@ -137,7 +138,7 @@ func (c *Ctx) directExchange(g *simnet.Gate, dx directExchanger) ([][]int, error
 			if !ok || st.sync != c.sync {
 				return errors.New("bsp: ranks disagree on the superstep synchronizer (Sync is collective)")
 			}
-			rows[r] = append([]int(nil), st.row...)
+			rows[r] = st.row
 		}
 		sch, err := dx.exchangeSchedule(p)
 		if err != nil {
@@ -193,13 +194,13 @@ func (c *Ctx) applyPut(put *putMsg) error {
 // one-sided message counts: after ⌈log2 P⌉ stages with doubling payloads,
 // every process holds the full P×P count map (Section 6.5). It returns the
 // map indexed [source][destination]. The wire protocol (tagCountBase+stage
-// tags, map[int][]int payloads, headerBytes+rows*P*4 sizing) is shared with
+// tags, []countRow payloads, headerBytes+rows*P*4 sizing) is shared with
 // scheduleSync.ExchangeCounts in synchronizer.go — change them together;
 // TestScheduleSynchronizerMatchesDefaultBitForBit guards the agreement.
 func (c *Ctx) exchangeCounts() ([][]int, error) {
 	p := c.NProcs()
 	rank := c.Pid()
-	known := map[int][]int{rank: append([]int(nil), c.outCounts...)}
+	known := newCountKnowledge(c)
 	traced := c.proc.Tracing()
 	if traced {
 		defer c.proc.TraceStage(-1)
@@ -213,11 +214,8 @@ func (c *Ctx) exchangeCounts() ([][]int, error) {
 		src := (rank - dist + p) % p
 		tag := tagCountBase + stage
 
-		// Snapshot of everything known so far travels to the next neighbour.
-		payload := make(map[int][]int, len(known))
-		for r, row := range known {
-			payload[r] = row
-		}
+		// Everything known so far travels to the next neighbour.
+		payload := known.snapshot()
 		size := headerBytes + len(payload)*p*countEntryBytes
 
 		rreq := c.proc.Irecv(src, tag)
@@ -225,25 +223,71 @@ func (c *Ctx) exchangeCounts() ([][]int, error) {
 		in := c.proc.Wait(rreq)
 		c.proc.Wait(sreq)
 
-		got, ok := in.(map[int][]int)
-		if !ok {
+		if !known.absorb(in) {
 			return nil, fmt.Errorf("bsp: process %d received a malformed count map from %d", rank, src)
-		}
-		for r, row := range got {
-			if _, seen := known[r]; !seen {
-				known[r] = row
-			}
 		}
 		stage++
 	}
+	return known.complete(rank)
+}
 
-	counts := make([][]int, p)
-	for r := 0; r < p; r++ {
-		row, ok := known[r]
-		if !ok || len(row) != p {
+// countRow is one rank's count row as the concurrent count exchange sends
+// it.
+type countRow struct {
+	rank int
+	row  []int
+}
+
+// countKnowledge is one rank's state in the concurrent count exchange: the
+// count rows it holds, indexed by source rank (nil until received), and the
+// same rows in arrival order. The list only grows, into capacity reserved
+// up front, so a prefix of it is an immutable snapshot: a stage sends
+// list[:n] without copying, and later appends never touch what receivers
+// read.
+type countKnowledge struct {
+	counts [][]int
+	list   []countRow
+}
+
+// newCountKnowledge starts the exchange from a copy of the caller's own
+// count row.
+func newCountKnowledge(c *Ctx) *countKnowledge {
+	p, rank := c.NProcs(), c.Pid()
+	own := append([]int(nil), c.outCounts...)
+	k := &countKnowledge{counts: make([][]int, p), list: make([]countRow, 1, p)}
+	k.counts[rank] = own
+	k.list[0] = countRow{rank: rank, row: own}
+	return k
+}
+
+// snapshot returns every row known so far, the payload of one stage.
+func (k *countKnowledge) snapshot() []countRow {
+	return k.list[:len(k.list):len(k.list)]
+}
+
+// absorb merges a received payload, reporting false if it is not one.
+func (k *countKnowledge) absorb(in any) bool {
+	got, ok := in.([]countRow)
+	if !ok {
+		return false
+	}
+	for _, e := range got {
+		if k.counts[e.rank] == nil {
+			k.counts[e.rank] = e.row
+			k.list = append(k.list, e)
+		}
+	}
+	return true
+}
+
+// complete returns the count map indexed [source][destination], or an error
+// naming the first source whose row never arrived.
+func (k *countKnowledge) complete(rank int) ([][]int, error) {
+	p := len(k.counts)
+	for r, row := range k.counts {
+		if len(row) != p {
 			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", rank, r)
 		}
-		counts[r] = row
 	}
-	return counts, nil
+	return k.counts, nil
 }

@@ -124,7 +124,7 @@ func DefaultSynchronizer() Synchronizer { return defaultSync }
 // its out-edges, so after the last stage the count map is complete on every
 // process whenever the schedule passes the all-pairs knowledge recursion.
 // It speaks the same wire protocol as Ctx.exchangeCounts in sync.go
-// (tagCountBase+stage tags, map[int][]int payloads, headerBytes+rows*P*4
+// (tagCountBase+stage tags, []countRow payloads, headerBytes+rows*P*4
 // sizing) — change them together.
 type scheduleSync struct {
 	pat *barrier.Pattern
@@ -198,7 +198,7 @@ func (s *scheduleSync) ExchangeCounts(c *Ctx) ([][]int, error) {
 	if s.pat.Procs != p {
 		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.pat.Procs, p)
 	}
-	known := map[int][]int{rank: append([]int(nil), c.outCounts...)}
+	known := newCountKnowledge(c)
 	traced := c.proc.Tracing()
 	if traced {
 		defer c.proc.TraceStage(-1)
@@ -218,44 +218,25 @@ func (s *scheduleSync) ExchangeCounts(c *Ctx) ([][]int, error) {
 		for k, src := range ins {
 			recvs[k] = c.proc.Irecv(src, tag)
 		}
-		// Snapshot of everything known so far travels along every out-edge.
+		// Everything known so far travels along every out-edge.
 		var sends []*simnet.Request
 		if len(outs) > 0 {
-			payload := make(map[int][]int, len(known))
-			for r, row := range known {
-				payload[r] = row
-			}
+			payload := known.snapshot()
 			size := headerBytes + len(payload)*p*countEntryBytes
 			for _, dst := range outs {
 				sends = append(sends, c.proc.Isend(dst, tag, size, payload))
 			}
 		}
 		for k, rreq := range recvs {
-			in := c.proc.Wait(rreq)
-			got, ok := in.(map[int][]int)
-			if !ok {
+			if !known.absorb(c.proc.Wait(rreq)) {
 				return nil, fmt.Errorf("bsp: process %d received a malformed count map from %d", rank, ins[k])
-			}
-			for r, row := range got {
-				if _, seen := known[r]; !seen {
-					known[r] = row
-				}
 			}
 		}
 		for _, sreq := range sends {
 			c.proc.Wait(sreq)
 		}
 	}
-
-	counts := make([][]int, p)
-	for r := 0; r < p; r++ {
-		row, ok := known[r]
-		if !ok || len(row) != p {
-			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", rank, r)
-		}
-		counts[r] = row
-	}
-	return counts, nil
+	return known.complete(rank)
 }
 
 // NewAdaptedSynchronizer runs the model-driven construction of Chapter 7 on

@@ -198,6 +198,13 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 		rec     *trace.Recorder
 		err     error
 	)
+	// The plan is checked before a path is chosen, wrapped as the session's
+	// WithFaults wraps it, so both paths fail with the same error body.
+	if !req.Faults.Empty() {
+		if err := req.Faults.Validate(pt.procs); err != nil {
+			return nil, fmt.Errorf("hbsp: %w", err)
+		}
+	}
 	if s.sweptEligible(req, rp, w) {
 		res, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)
 	} else {

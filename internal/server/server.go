@@ -42,8 +42,10 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 4096; negative disables).
 	CacheEntries int
 	// MachineEntries bounds the machine cache (default 32; negative
-	// disables). Machines dominate memory — each holds four P×P matrices —
-	// so this knob is much smaller than CacheEntries.
+	// disables). A profile-backed machine holds its O(P) rank placement; an
+	// uploaded one holds its pairwise matrices, up to the request body
+	// limit. Either outweighs a rendered result, so this knob is much
+	// smaller than CacheEntries.
 	MachineEntries int
 	// RetryAfter is the Retry-After value sent with shed responses, in
 	// seconds (default 1).
@@ -77,6 +79,7 @@ type Server struct {
 	results   *lruCache // pointKey -> rendered response bytes
 	machines  *lruCache // (profile fingerprint, procs) -> *resolvedProfile
 	patterns  *lruCache // barrier variants by (variant, procs)
+	verified  *lruCache // streamed schedules verified, by (semantics, procs, root)
 	sweeps    *lruCache // sweepKey -> *sweepEntry (pooled sweep evaluators)
 	sweepMu   sync.Mutex
 	schedules bsp.ScheduleSource
@@ -96,6 +99,7 @@ func New(cfg Config) *Server {
 		results:   newLRU(cfg.CacheEntries),
 		machines:  newLRU(cfg.MachineEntries),
 		patterns:  newLRU(256),
+		verified:  newLRU(1024),
 		sweeps:    newLRU(sweepPoolEntries),
 		schedules: bsp.NewScheduleCache(),
 		flights:   newFlightGroup(),

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +108,31 @@ func TestSweptMatchesSession(t *testing.T) {
 			}},
 			Options: OptionsSpec{PerRank: perRank},
 		}},
+		{"barrier_dissemination", PredictRequest{
+			Profile:  ProfileSpec{Preset: "xeon-8x2x4"},
+			Workload: WorkloadSpec{Kind: "barrier", Variant: "dissemination"},
+			Procs:    13,
+		}},
+		{"reduce_rooted", PredictRequest{
+			Profile:  ProfileSpec{Preset: "xeon-8x2x4"},
+			Workload: WorkloadSpec{Kind: "reduce", Root: 5, Bytes: 128},
+			Procs:    12,
+		}},
+		{"allreduce_collapsed", PredictRequest{
+			Profile:  ProfileSpec{Preset: "flat-cluster"},
+			Workload: WorkloadSpec{Kind: "allreduce", Bytes: 64},
+			Procs:    100,
+		}},
+		{"barrier_collapsed", PredictRequest{
+			Profile:  ProfileSpec{Preset: "flat-cluster"},
+			Workload: WorkloadSpec{Kind: "barrier"},
+			Procs:    64,
+		}},
+		{"totalexchange_odd", PredictRequest{
+			Profile:  ProfileSpec{Preset: "flat-cluster"},
+			Workload: WorkloadSpec{Kind: "totalexchange", Bytes: 16},
+			Procs:    7,
+		}},
 		{"allgather_scaled", PredictRequest{
 			Profile:  ProfileSpec{Preset: "xeon-8x2x4"},
 			Workload: WorkloadSpec{Kind: "allgather", Bytes: 32},
@@ -168,5 +197,66 @@ func TestSweptMatchesSession(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBadFaultPlanSameOnBothPaths sends one invalid fault plan down the
+// swept path (allreduce) and the session path (sync): the plan is checked
+// before a path is chosen, so both error bodies are byte-identical and carry
+// the session's "hbsp: " wrapping.
+func TestBadFaultPlanSameOnBothPaths(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const plan = `"faults":{"Slowdowns":[{"Rank":64,"Factor":2}]}`
+	_, swept := predict(t, ts, `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce"},"procs":8,`+plan+`}`)
+	resp, session := predict(t, ts, `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"sync"},"procs":8,`+plan+`}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", resp.StatusCode, session)
+	}
+	want := `{"error":{"code":"invalid_fault","status":400,"message":"hbsp: invalid fault plan: slowdown 0: rank 64 out of range [0,8)"}}` + "\n"
+	if string(session) != want {
+		t.Errorf("session error body\n got %s\nwant %s", session, want)
+	}
+	if !bytes.Equal(swept, session) {
+		t.Errorf("swept and session error bodies differ\n swept:   %s\n session: %s", swept, session)
+	}
+}
+
+// TestSweptCollectivesAtLargeP is the regression test for the dense
+// patterns the swept path once built: at P=65536 a flat-cluster allreduce
+// allocated 32 GiB. Every swept collective now evaluates from a streamed
+// schedule — collapsed on the circulant kinds — within a small, P-linear
+// allocation budget.
+func TestSweptCollectivesAtLargeP(t *testing.T) {
+	s := New(Config{})
+	const procs = 1 << 16
+	for _, kind := range []string{"allreduce", "allgather", "broadcast", "reduce"} {
+		body := fmt.Sprintf(`{"profile":{"preset":"flat-cluster"},"workload":{"kind":%q,"bytes":64},"procs":%d}`, kind, procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", kind, rec.Code, rec.Body.Bytes())
+		}
+		var p PredictPoint
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if p.Procs != procs || p.MakeSpan <= 0 {
+			t.Errorf("%s: procs %d, makespan %g", kind, p.Procs, p.MakeSpan)
+		}
+		if circulant := kind == "allreduce" || kind == "allgather"; circulant && !p.Collapse.Applied {
+			t.Errorf("%s: collapse not applied (reason %q)", kind, p.Collapse.Reason)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown >= 64<<20 {
+			t.Errorf("%s: allocated %d MiB, want < 64 MiB", kind, grown>>20)
+		}
+		if elapsed > 10*time.Second {
+			t.Errorf("%s: took %v", kind, elapsed)
+		}
+		t.Logf("%s: %v, %.1f MiB allocated, collapse %+v", kind, elapsed, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), p.Collapse)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // must come out in FIFO order regardless of scheduling.
 func TestMailboxFIFOPerSourceTag(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(8, &cancelled, newRowArena(8))
 	const (
 		sources  = 4
 		tags     = 3
@@ -124,7 +124,7 @@ func TestRequestRecycledAfterWait(t *testing.T) {
 // the consumed prefix is compacted away, keeping the queue O(backlog).
 func TestQueueCompactsUnderStandingBacklog(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(8, &cancelled, newRowArena(8))
 	const messages = 100000
 	mb.deliver(&message{src: 0, tag: 0, payload: -1}) // standing backlog of 1
 	for seq := 0; seq < messages; seq++ {
@@ -171,7 +171,7 @@ func TestDeadlineTearsDownGoroutines(t *testing.T) {
 // take instead of blocking forever).
 func TestCancelAbortsLateReceivers(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(8, &cancelled, newRowArena(8))
 	cancelled.Store(true)
 	defer func() {
 		if _, ok := recover().(cancelPanic); !ok {
@@ -187,7 +187,7 @@ func TestCancelAbortsLateReceivers(t *testing.T) {
 // must keep matching afterwards.
 func TestMailboxFlatToMapMigration(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(4, &cancelled)
+	mb := newMailbox(4, &cancelled, newRowArena(4))
 
 	// A clustered tag range first: stays on the flat table.
 	for seq := 0; seq < 10; seq++ {
@@ -224,7 +224,7 @@ func TestMailboxFlatToMapMigration(t *testing.T) {
 // first observed tag (the table re-bases on downward growth).
 func TestMailboxFlatGrowsBothSides(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(2, &cancelled)
+	mb := newMailbox(2, &cancelled, newRowArena(2))
 	mb.deliver(&message{src: 0, tag: 100, payload: "mid"})
 	mb.deliver(&message{src: 1, tag: 40, payload: "low"})
 	mb.deliver(&message{src: 0, tag: 160, payload: "high"})
@@ -247,7 +247,7 @@ func TestMailboxFlatGrowsBothSides(t *testing.T) {
 // of indexing a nil flat table.
 func TestMailboxHugeRankCount(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(maxFlatEntries+1, &cancelled)
+	mb := newMailbox(maxFlatEntries+1, &cancelled, newRowArena(maxFlatEntries+1))
 	mb.deliver(&message{src: 3, tag: 0, payload: "big"})
 	if mb.queues == nil {
 		t.Fatal("oversized rank count should use the map index")
@@ -262,7 +262,7 @@ func TestMailboxHugeRankCount(t *testing.T) {
 // tag onto an existing flat row.
 func TestMailboxHugeTagSpanNoAliasing(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(8, &cancelled, newRowArena(8))
 	mb.deliver(&message{src: 0, tag: 0, payload: "near"})
 	mb.deliver(&message{src: 0, tag: 1 << 62, payload: "far"})
 	if mb.queues == nil {
@@ -273,5 +273,89 @@ func TestMailboxHugeTagSpanNoAliasing(t *testing.T) {
 	}
 	if got := mb.take(0, 0).payload; got != "near" {
 		t.Fatalf("near tag lost: got %v", got)
+	}
+}
+
+// flatRows counts the allocated rows of a mailbox's flat table.
+func flatRows(mb *mailbox) int {
+	n := 0
+	for _, row := range mb.flat {
+		if row != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMailboxOneTagOneRow pins the lazy rows of the flat table: at P=4096 a
+// mailbox that only ever sees one tag holds one row of P queue pointers, not
+// the whole span budget.
+func TestMailboxOneTagOneRow(t *testing.T) {
+	var cancelled atomic.Bool
+	const p = 4096
+	mb := newMailbox(p, &cancelled, newRowArena(p))
+	for src := 0; src < p; src += 97 {
+		mb.deliver(&message{src: src, tag: 7, payload: src})
+	}
+	for src := 0; src < p; src += 97 {
+		if got := mb.take(src, 7).payload; got != src {
+			t.Fatalf("src %d: got %v", src, got)
+		}
+	}
+	if mb.queues != nil {
+		t.Fatal("one tag should stay on the flat table")
+	}
+	if got := flatRows(mb); got != 1 {
+		t.Fatalf("%d rows allocated, want 1", got)
+	}
+	if got := len(mb.flat[0]); got != p {
+		t.Fatalf("row holds %d queue slots, want %d", got, p)
+	}
+}
+
+// TestMailboxNilRowsMigrateAndCancel leaves unused rows between two tags:
+// migration must skip them and keep the pending messages, and cancelAll
+// must skip them and still wake a blocked receiver.
+func TestMailboxNilRowsMigrateAndCancel(t *testing.T) {
+	var cancelled atomic.Bool
+	mb := newMailbox(4, &cancelled, newRowArena(4))
+	mb.deliver(&message{src: 1, tag: 10, payload: "ten"})
+	mb.deliver(&message{src: 2, tag: 14, payload: "fourteen"})
+	if got := flatRows(mb); got != 2 {
+		t.Fatalf("%d rows allocated, want 2", got)
+	}
+	mb.deliver(&message{src: 3, tag: 10 + maxFlatEntries, payload: "far"})
+	if mb.queues == nil || mb.flat != nil {
+		t.Fatal("wide tag span should have migrated to the map index")
+	}
+	for _, want := range []struct {
+		src, tag int
+		payload  string
+	}{{1, 10, "ten"}, {2, 14, "fourteen"}, {3, 10 + maxFlatEntries, "far"}} {
+		if got := mb.take(want.src, want.tag).payload; got != want.payload {
+			t.Fatalf("take(%d, %d) = %v, want %s", want.src, want.tag, got, want.payload)
+		}
+	}
+
+	mb = newMailbox(4, &cancelled, newRowArena(4))
+	mb.deliver(&message{src: 0, tag: 3, payload: "three"})
+	woken := make(chan any, 1)
+	go func() {
+		defer func() { woken <- recover() }()
+		mb.take(1, 6) // the rows of tags 4 and 5 stay nil
+	}()
+	for {
+		mb.mu.Lock()
+		waiting := flatRows(mb) == 2 && len(mb.flat[3][1].waiters) == 1
+		mb.mu.Unlock()
+		if waiting {
+			break
+		}
+		runtime.Gosched()
+	}
+	cancelled.Store(true)
+	mb.cancelAll()
+	if r := <-woken; r != (cancelPanic{}) {
+		t.Fatalf("blocked receiver recovered %v, want cancelPanic", r)
 	}
 }

@@ -261,40 +261,83 @@ func (q *msgQueue) pop() *message {
 // scanning a flat pending list.
 type mbKey struct{ src, tag int }
 
-// queueChunkSize is the arena block size for msgQueue allocation. Queues are
-// handed out as pointers into fixed-capacity chunks, so creating the P-1
-// queues of a large collective costs P/queueChunkSize allocations instead
-// of P.
+// queueChunkSize is the largest arena block for msgQueue allocation. Queues
+// are handed out as pointers into fixed-capacity chunks that double from 2
+// (the first chunk lives in the mailbox itself) up to this size, so creating
+// the P-1 queues of a large collective costs about P/queueChunkSize
+// allocations instead of P, while a rank that only ever hears from a few
+// peers allocates a few queues, not 64.
 const queueChunkSize = 64
 
+// rowBlockMax bounds a rowArena block, in queue pointers.
+const rowBlockMax = 1 << 20
+
+// rowArena hands out the flat-table rows of one run's mailboxes: rows of
+// procs queue pointers carved from shared blocks. The first block holds one
+// row per rank — what a run in which every rank uses one tag needs — and
+// later blocks double, both within rowBlockMax, so the rows of a run cost a
+// few allocations instead of one per (rank, tag), and no row is handed out
+// before its tag is used.
+type rowArena struct {
+	mu    sync.Mutex
+	procs int
+	free  []*msgQueue // unused tail of the current block
+	rows  int         // rows of the next block
+}
+
+func newRowArena(procs int) *rowArena {
+	return &rowArena{procs: procs, rows: max(1, min(procs, rowBlockMax/procs))}
+}
+
+// row returns a fresh zeroed row of procs queue pointers.
+func (a *rowArena) row() []*msgQueue {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.free) < a.procs {
+		a.free = make([]*msgQueue, a.rows*a.procs)
+		a.rows = max(1, min(2*a.rows, rowBlockMax/a.procs))
+	}
+	r := a.free[:a.procs:a.procs]
+	a.free = a.free[a.procs:]
+	return r
+}
+
 // maxFlatEntries bounds the size of a mailbox's flat (src, tag) table: while
-// the observed tag span keeps procs·span at or below it, lookups index a flat
-// slice directly; the first tag outside that budget migrates the mailbox to
-// the map index for the rest of the run.
+// the observed tag span keeps procs·span at or below it, lookups index the
+// table's rows directly; the first tag outside that budget migrates the
+// mailbox to the map index for the rest of the run.
 const maxFlatEntries = 1 << 14
 
 // mailbox holds one rank's incoming traffic, indexed by (source, tag).
 //
 // Two index representations exist. While the observed tag span is small —
 // which the constant stage tags of the schedule walkers guarantee for
-// collective-heavy runs — queues live in a flat slice indexed by
-// (tag-flatLo)·procs + src, so the hot path is a bounds check and an array
-// load with no hashing at all. A run whose tags spread beyond maxFlatEntries
-// (e.g. mixing the one-sided, count-exchange and schedule tag ranges at high
-// P) is migrated once to the map index, the previous behaviour. On top of
+// collective-heavy runs — queues live in a flat table of rows, row
+// tag-flatLo holding the procs queue pointers of that tag indexed by source,
+// so the hot path is two bounds checks and two loads with no hashing at
+// all. A row is taken from the run's rowArena the first time its tag is
+// looked up, so a run that only ever uses one tag pays one row of P pointers
+// per mailbox, not the whole span budget. A run whose tags spread beyond
+// maxFlatEntries (e.g. mixing the one-sided, count-exchange and schedule tag
+// ranges at high P) is migrated once to the map index, the previous
+// behaviour. On top of
 // both, the one-entry (lastKey, lastQ) cache short-circuits consecutive
 // operations on the same pair (superstep drains, stage-wise collectives).
 type mailbox struct {
 	mu    sync.Mutex
 	procs int
 
-	// Flat index: rows of procs queue pointers, one row per tag in
-	// [flatLo, flatLo + len(flat)/procs). flatHi tracks the highest tag
-	// actually observed; seen is false until the first lookup fixes flatLo.
-	flat   []*msgQueue
-	flatLo int
-	flatHi int
-	seen   bool
+	// Flat index: one row slot per tag in [flatLo, flatLo + len(flat)),
+	// each nil until its tag is first looked up, then procs queue pointers
+	// indexed by source. flatHi tracks the highest tag actually observed;
+	// seen is false until the first lookup fixes flatLo. The first slots
+	// live in flatInit, so a mailbox spanning few tags allocates none.
+	flat     [][]*msgQueue
+	flatInit [8][]*msgQueue
+	flatLo   int
+	flatHi   int
+	seen     bool
+	rows     *rowArena
 
 	// Map index, non-nil once the mailbox has migrated.
 	queues map[mbKey]*msgQueue
@@ -302,17 +345,21 @@ type mailbox struct {
 	lastKey   mbKey
 	lastQ     *msgQueue
 	chunk     []msgQueue
+	chunkInit [2]msgQueue
 	cancelled *atomic.Bool
 }
 
-func newMailbox(procs int, cancelled *atomic.Bool) *mailbox {
-	return &mailbox{procs: procs, cancelled: cancelled}
+func newMailbox(procs int, cancelled *atomic.Bool, rows *rowArena) *mailbox {
+	mb := &mailbox{procs: procs, cancelled: cancelled, rows: rows}
+	mb.chunk = mb.chunkInit[:0]
+	return mb
 }
 
-// newQueue allocates a queue from the arena chunk.
+// newQueue allocates a queue from the arena chunk, starting a chunk twice
+// the size of the last (at most queueChunkSize) when it is full.
 func (mb *mailbox) newQueue() *msgQueue {
 	if len(mb.chunk) == cap(mb.chunk) {
-		mb.chunk = make([]msgQueue, 0, queueChunkSize)
+		mb.chunk = make([]msgQueue, 0, min(2*cap(mb.chunk), queueChunkSize))
 	}
 	mb.chunk = append(mb.chunk, msgQueue{})
 	return &mb.chunk[len(mb.chunk)-1]
@@ -337,19 +384,25 @@ func (mb *mailbox) queue(src, tag int) *msgQueue {
 		if !ok {
 			return mb.migrate(src, tag)
 		}
-		q = mb.flat[idx*mb.procs+src]
+		row := mb.flat[idx]
+		if row == nil {
+			row = mb.rows.row()
+			mb.flat[idx] = row
+		}
+		q = row[src]
 		if q == nil {
 			q = mb.newQueue()
-			mb.flat[idx*mb.procs+src] = q
+			row[src] = q
 		}
 	}
 	mb.lastKey, mb.lastQ = key, q
 	return q
 }
 
-// flatIndex returns tag's row in the flat table, growing the table if the tag
-// extends the observed span. ok is false when the grown span would exceed the
-// flat budget and the mailbox must migrate to the map index.
+// flatIndex returns tag's row slot in the flat table, growing the table of
+// row slots if the tag extends the observed span. ok is false when the grown
+// span would exceed the flat budget and the mailbox must migrate to the map
+// index.
 func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
 	if !mb.seen {
 		mb.seen = true
@@ -362,7 +415,7 @@ func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
 					return 0, false
 				}
 			}
-			mb.flat = make([]*msgQueue, rows*mb.procs)
+			mb.flat = mb.flatInit[:rows]
 		}
 		return 0, true
 	}
@@ -382,7 +435,7 @@ func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
 	if span <= 0 || span > maxFlatEntries/mb.procs {
 		return 0, false
 	}
-	rows := len(mb.flat) / mb.procs
+	rows := len(mb.flat)
 	shift := mb.flatLo - lo
 	if shift == 0 && span <= rows {
 		// Growing on the high side within the allocated rows.
@@ -396,8 +449,8 @@ func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
 	if newRows*mb.procs > maxFlatEntries {
 		newRows = maxFlatEntries / mb.procs
 	}
-	grown := make([]*msgQueue, newRows*mb.procs)
-	copy(grown[shift*mb.procs:], mb.flat[:(mb.flatHi-mb.flatLo+1)*mb.procs])
+	grown := make([][]*msgQueue, newRows)
+	copy(grown[shift:], mb.flat[:mb.flatHi-mb.flatLo+1])
 	mb.flat = grown
 	mb.flatLo, mb.flatHi = lo, hi
 	return tag - mb.flatLo, true
@@ -407,12 +460,10 @@ func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
 // flat budget) and returns the queue of the pair that triggered it.
 func (mb *mailbox) migrate(src, tag int) *msgQueue {
 	mb.queues = make(map[mbKey]*msgQueue, 64)
-	if mb.seen && mb.flat != nil {
-		for row := 0; row <= mb.flatHi-mb.flatLo; row++ {
-			for s := 0; s < mb.procs; s++ {
-				if q := mb.flat[row*mb.procs+s]; q != nil {
-					mb.queues[mbKey{src: s, tag: mb.flatLo + row}] = q
-				}
+	for r, row := range mb.flat {
+		for s, q := range row {
+			if q != nil {
+				mb.queues[mbKey{src: s, tag: mb.flatLo + r}] = q
 			}
 		}
 	}
@@ -489,9 +540,11 @@ func (mb *mailbox) cancelAll() {
 	for _, q := range mb.queues {
 		wake(q)
 	}
-	for _, q := range mb.flat {
-		if q != nil {
-			wake(q)
+	for _, row := range mb.flat {
+		for _, q := range row {
+			if q != nil {
+				wake(q)
+			}
 		}
 	}
 	mb.mu.Unlock()
@@ -984,8 +1037,9 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 		}
 		w.faults = rt
 	}
+	rows := newRowArena(m.Procs())
 	for i := range w.mailboxes {
-		w.mailboxes[i] = newMailbox(m.Procs(), &w.cancelled)
+		w.mailboxes[i] = newMailbox(m.Procs(), &w.cancelled, rows)
 	}
 	if o.Engine == EngineAuto {
 		w.gate = newGate(m.Procs())
